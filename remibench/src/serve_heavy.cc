@@ -47,9 +47,9 @@ const TenantDef kTenants[] = {
 };
 constexpr size_t kReloaded = 2;  // the tenant reloaded under load
 constexpr size_t kNumTenants = 3;
-constexpr int kSetups = 5;
+constexpr int kSetups = 11;
 constexpr size_t kPoolSets = 256;         // per tenant
-constexpr double kSetZipf = 0.7;          // popularity within a pool
+constexpr double kSetZipf = 0.3;          // popularity within a pool
 constexpr double kTenantZipf = 1.0;
 constexpr double kMineRps = 240.0;
 constexpr double kPingRps = 300.0;
@@ -215,7 +215,13 @@ void RunServeHeavy(const RunSettings& s, RunResult* r) {
     const size_t t = tenant_zipf.Sample(&rng) - 1;
     const size_t set = popularity[t][set_zipf.Sample(&rng) - 1];
     Planned p;
-    p.at = static_cast<double>(k) / kMineRps;
+    // Each request lands at a uniform offset inside its 1/rate slot, so the
+    // gap to the next request on its connection varies around the mean of
+    // connections / rate instead of being exactly that: the latency floor
+    // stays at connections / rate on average, but the latencies it holds
+    // back no longer pile up on exact multiples of it, where a tail
+    // percentile would jump a whole step between runs.
+    p.at = (static_cast<double>(k) + rng.NextDouble()) / kMineRps;
     p.conn = 1 + static_cast<int>(k % 2);
     p.kind = Kind::kMine;
     p.payload = pools[t][set].payload;
@@ -225,7 +231,7 @@ void RunServeHeavy(const RunSettings& s, RunResult* r) {
   }
   for (size_t k = 0; k < static_cast<size_t>(kPingRps * phase_seconds); ++k) {
     Planned p;
-    p.at = (static_cast<double>(k) + 0.5) / kPingRps;
+    p.at = (static_cast<double>(k) + rng.NextDouble()) / kPingRps;
     p.kind = Kind::kPing;
     p.payload = R"({"op":"ping"})";
     plan.push_back(std::move(p));
