@@ -99,6 +99,8 @@ int ConnectLoopback(int port) {
     close(fd);
     return -1;
   }
+  // A latency-sensitive client disables Nagle on its own side too.
+  remi::SetNoDelay(fd);
   return fd;
 }
 

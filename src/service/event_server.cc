@@ -137,6 +137,7 @@ void EventServer::Stop() {
 }
 
 bool EventServer::Drain(double grace_seconds) {
+  if (!loop_thread_.joinable()) return true;  // nothing is being served
   drain_requested_.store(true, std::memory_order_relaxed);
   Wake();
   const auto deadline = std::chrono::steady_clock::now() +
@@ -145,7 +146,10 @@ bool EventServer::Drain(double grace_seconds) {
                             std::chrono::duration<double>(grace_seconds));
   bool all_done;
   for (;;) {
-    all_done = open_connections_.load(std::memory_order_relaxed) == 0;
+    // Until the loop has run HandleControl (and taken in the accept
+    // backlog), a zero connection count proves nothing.
+    all_done = !drain_requested_.load(std::memory_order_acquire) &&
+               open_connections_.load(std::memory_order_relaxed) == 0;
     if (all_done || std::chrono::steady_clock::now() >= deadline) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
@@ -299,9 +303,11 @@ void EventServer::LoopThread() {
 
 void EventServer::HandleControl() {
   if (!drain_requested_.load(std::memory_order_relaxed)) return;
-  drain_requested_.store(false, std::memory_order_relaxed);
   // Stop the intake: new clients get ECONNREFUSED instead of queueing
-  // behind a server that will never serve them.
+  // behind a server that will never serve them. A client whose connect()
+  // already completed sits in the accept backlog and may have sent its
+  // requests; closing the listener would reset it, so take it in first.
+  if (listen_fd_ >= 0) AcceptReady();
   if (listen_fd_ >= 0) {
     if (listener_active_ && !listener_paused_) {
       epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
@@ -318,6 +324,8 @@ void EventServer::HandleControl() {
     Connection* conn = entry.second.get();
     if (conn->fd >= 0 && !conn->read_closed) shutdown(conn->fd, SHUT_RD);
   }
+  // Release: Drain() reads open_connections_ only after seeing this.
+  drain_requested_.store(false, std::memory_order_release);
 }
 
 void EventServer::AcceptReady() {
@@ -367,6 +375,9 @@ void EventServer::AcceptReady() {
           return;
       }
     }
+    // Nagle off: a response must not wait for the client's delayed ACK.
+    // On failure the connection is still served, only slower.
+    SetNoDelay(fd);
     try {
       auto conn = std::make_unique<Connection>();
       conn->id = next_conn_id_++;
@@ -532,7 +543,6 @@ void EventServer::MaybeDispatch(Connection* conn) {
   const size_t limit = conn->mode == WireMode::kBinary
                            ? options_.max_inflight_per_connection
                            : 1;  // NDJSON responses must stay in order
-  bool dispatched = false;
   while (!conn->queue.empty() && conn->inflight < limit) {
     // The kUseKb handshake runs inline on the loop thread, in FIFO order
     // with the frames around it: frames dispatched before it carried the
@@ -557,9 +567,9 @@ void EventServer::MaybeDispatch(Connection* conn) {
       std::lock_guard<std::mutex> lock(dispatch_mu_);
       dispatch_queue_.push_back(std::move(item));
     }
-    dispatched = true;
+    // One item needs one worker; waking them all only adds contention.
+    dispatch_cv_.notify_one();
   }
-  if (dispatched) dispatch_cv_.notify_all();
 }
 
 void EventServer::HandleUseKb(Connection* conn,

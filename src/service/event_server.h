@@ -109,10 +109,12 @@ class EventServer {
   void Stop();
 
   /// Graceful shutdown, same contract as LineServer::Drain: stop
-  /// accepting, half-close every connection (SHUT_RD — requests already
-  /// received, including frames already admitted to a connection's
-  /// queue, keep executing and their responses still flush), wait up to
-  /// `grace_seconds`, then cancel whatever is left and hard-stop.
+  /// accepting (clients whose connect() already completed are still
+  /// taken in from the backlog), half-close every connection (SHUT_RD —
+  /// requests already received, including frames already admitted to a
+  /// connection's queue, keep executing and their responses still
+  /// flush), wait up to `grace_seconds`, then cancel whatever is left
+  /// and hard-stop.
   /// Returns true iff every connection finished within the grace period.
   bool Drain(double grace_seconds);
 

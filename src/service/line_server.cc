@@ -226,6 +226,9 @@ void LineServer::AcceptLoop() {
       }
       continue;
     }
+    // Nagle off: a response must not wait for the client's delayed ACK.
+    // On failure the connection is still served, only slower.
+    SetNoDelay(fd);
     // Join threads of connections that already hung up, so a long-running
     // server holds resources proportional to *open* connections only.
     ReapFinishedConnections();
@@ -290,8 +293,11 @@ void LineServer::ServeConnection(Connection* connection) {
         poisoned = true;
         break;
       }
-      const std::string response = HandleRequestLine(service_, line, cancel);
-      if (!SendAll(fd, response) || !SendAll(fd, "\n")) {
+      // One write per response: a separate 1-byte "\n" send is the
+      // small segment Nagle would hold back.
+      std::string response = HandleRequestLine(service_, line, cancel);
+      response += '\n';
+      if (!SendAll(fd, response)) {
         poisoned = true;
         break;
       }

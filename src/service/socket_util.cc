@@ -1,6 +1,8 @@
 #include "service/socket_util.h"
 
 #include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 
 #include <cerrno>
@@ -51,6 +53,11 @@ bool SetNonBlocking(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
   if (flags < 0) return false;
   return fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
+}
+
+bool SetNoDelay(int fd) {
+  const int one = 1;
+  return setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) == 0;
 }
 
 bool SendAll(int fd, std::string_view data) {

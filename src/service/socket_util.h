@@ -1,9 +1,9 @@
 // Small socket-layer utilities shared by the serving transports
 // (LineServer, EventServer) and their clients (remi_cli, the load
 // generator): a consume-from-the-front byte buffer with amortized O(1)
-// compaction, an accept(2) errno classifier, and blocking send/O_NONBLOCK
-// helpers. Kept transport-agnostic: nothing here knows about requests,
-// framing, or the Service.
+// compaction, an accept(2) errno classifier, and blocking send,
+// O_NONBLOCK and TCP_NODELAY helpers. Kept transport-agnostic: nothing
+// here knows about requests, framing, or the Service.
 
 #pragma once
 
@@ -90,6 +90,13 @@ AcceptErrorAction ClassifyAcceptError(int err);
 
 /// Sets O_NONBLOCK on `fd`; false on fcntl failure.
 bool SetNonBlocking(int fd);
+
+/// Sets TCP_NODELAY on `fd` (turns Nagle off); false on setsockopt
+/// failure. Without it a response's trailing small segment waits for
+/// the peer's delayed ACK, which on a request/response connection rides
+/// on the next request: the latency floor becomes the inter-arrival
+/// time. A failure leaves the socket slower, not wrong.
+bool SetNoDelay(int fd);
 
 /// Blocking full-buffer send with EINTR retry; false on a broken
 /// connection. MSG_NOSIGNAL turns a peer hangup into EPIPE instead of

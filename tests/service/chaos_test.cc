@@ -30,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "case_temp_path.h"
 #include "kb/knowledge_base.h"
 #include "service/event_server.h"
 #include "service/service.h"
@@ -128,10 +129,9 @@ class RawClient {
 class ChaosServiceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir();
     image_ = ChaosKb().SerializeSnapshot();
-    default_path_ = dir_ + "/chaos_default.rkf2";
-    alpha_path_ = dir_ + "/chaos_alpha.rkf2";
+    default_path_ = CaseTempPath("chaos_default", ".rkf2");
+    alpha_path_ = CaseTempPath("chaos_alpha", ".rkf2");
     WriteImage(default_path_);
     WriteImage(alpha_path_);
 
@@ -227,11 +227,15 @@ class ChaosServiceTest : public ::testing::Test {
     EXPECT_EQ(global.active_generations, global.tenants_active);
   }
 
-  std::string dir_;
   std::string image_;
   std::string default_path_;
   std::string alpha_path_;
   std::vector<std::string> reload_paths_;
+  /// Declared before the server so it is destroyed after it: the loop
+  /// thread may still be inside a hooked call (a blocking epoll_wait)
+  /// when a test's ScopedHooks uninstalls the injector, so the injector
+  /// must outlive the thread, which TearDown joins.
+  std::unique_ptr<io::FaultInjector> injector_;
   std::unique_ptr<Service> service_;
   std::unique_ptr<EventServer> server_;
 };
@@ -255,8 +259,8 @@ TEST_F(ChaosServiceTest, FaultStormPreservesLivenessIdentityAndAccounting) {
     profile.disconnect_probability = 0.01;
     profile.accept_resource_probability = 0.02;
     profile.mmap_fail_probability = 0.2;
-    io::FaultInjector injector(profile);
-    io::ScopedHooks scoped(&injector);
+    injector_ = std::make_unique<io::FaultInjector>(profile);
+    io::ScopedHooks scoped(injector_.get());
 
     constexpr int kClients = 4;
     constexpr int kRoundsPerClient = 25;
@@ -297,7 +301,7 @@ TEST_F(ChaosServiceTest, FaultStormPreservesLivenessIdentityAndAccounting) {
     threads.emplace_back([&] {
       for (int i = 0; i < 6; ++i) {
         const std::string path =
-            dir_ + "/chaos_reload_" + std::to_string(i) + ".rkf2";
+            CaseTempPath("chaos_reload_" + std::to_string(i), ".rkf2");
         WriteImage(path);
         reload_paths_.push_back(path);
         ReloadKbRequest reload;
@@ -339,8 +343,8 @@ TEST_F(ChaosServiceTest, AcceptExhaustionStormLeavesTheListenerAlive) {
     io::FaultProfile profile;
     profile.seed = 99;
     profile.accept_resource_probability = 0.5;
-    io::FaultInjector injector(profile);
-    io::ScopedHooks scoped(&injector);
+    injector_ = std::make_unique<io::FaultInjector>(profile);
+    io::ScopedHooks scoped(injector_.get());
     // Under an EMFILE/ENFILE/ENOMEM storm half the accepts fail; the
     // loop must survive every one of them and keep accepting the rest.
     for (int i = 0; i < 8; ++i) {
@@ -356,7 +360,7 @@ TEST_F(ChaosServiceTest, AcceptExhaustionStormLeavesTheListenerAlive) {
         EXPECT_EQ(line, baselines[0]);
       }
     }
-    EXPECT_GT(injector.injected(io::IoOp::kAccept), 0u);
+    EXPECT_GT(injector_->injected(io::IoOp::kAccept), 0u);
   }
 
   // The listener survived the storm: a clean connect works first try.

@@ -7,6 +7,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -584,7 +585,43 @@ class BlockSends : public io::IoHooks {
     return -1;
   }
 };
+
+/// Passes every call through and remembers the last fd the server
+/// accepted, so a test can inspect the server side of a connection.
+class RecordAccepts : public io::IoHooks {
+ public:
+  int Accept4(int fd, struct sockaddr* addr, socklen_t* addrlen,
+              int flags) override {
+    const int accepted = io::IoHooks::Accept4(fd, addr, addrlen, flags);
+    if (accepted >= 0) last_accepted_.store(accepted);
+    return accepted;
+  }
+  int last_accepted() const { return last_accepted_.load(); }
+
+ private:
+  std::atomic<int> last_accepted_{-1};
+};
 }  // namespace
+
+TEST_F(EventServerTest, AcceptedSocketsDisableNagle) {
+  StartServer();
+  RecordAccepts record;
+  io::ScopedHooks scoped(&record);
+
+  TestClient client(server_->port());
+  client.SendLine(R"({"op":"ping"})");
+  EXPECT_EQ(Parse(client.ReadLine()).Find("status")->AsString(), "OK");
+  // The connection is still open, so the recorded fd is still its fd.
+  const int server_fd = record.last_accepted();
+  ASSERT_GE(server_fd, 0);
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(getsockopt(server_fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len),
+            0);
+  EXPECT_EQ(nodelay, 1);
+  // Join the loop thread while `record` is still installed and alive.
+  server_->Stop();
+}
 
 TEST_F(EventServerTest, WriteStallReapsAPeerThatStopsReading) {
   EventServerOptions options;

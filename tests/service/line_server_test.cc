@@ -6,6 +6,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -14,10 +15,13 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "service/json_codec.h"
+#include "util/io_hooks.h"
 #include "util/json.h"
 
 #ifndef REMI_TESTDATA_DIR
@@ -356,6 +360,67 @@ TEST_F(LineServerTest, DrainFlushesBufferedResponsesThenCloses) {
 
   LineClient late(server_->port(), /*expect_connect=*/false);
   EXPECT_FALSE(late.connected());
+}
+
+/// Passes every call through, remembers the last fd the server accepted
+/// and records each server-side send.
+class RecordAcceptsAndSends : public io::IoHooks {
+ public:
+  int Accept4(int fd, struct sockaddr* addr, socklen_t* addrlen,
+              int flags) override {
+    const int accepted = io::IoHooks::Accept4(fd, addr, addrlen, flags);
+    if (accepted >= 0) last_accepted_.store(accepted);
+    return accepted;
+  }
+  ssize_t Send(int fd, const void* buf, size_t len, int flags) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      sends_.emplace_back(static_cast<const char*>(buf), len);
+    }
+    return io::IoHooks::Send(fd, buf, len, flags);
+  }
+
+  int last_accepted() const { return last_accepted_.load(); }
+  std::vector<std::string> sends() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return sends_;
+  }
+
+ private:
+  std::atomic<int> last_accepted_{-1};
+  mutable std::mutex mu_;
+  std::vector<std::string> sends_;
+};
+
+TEST_F(LineServerTest, AcceptedSocketsDisableNagleAndAnswerInOneSend) {
+  // The fixture's server is already parked inside the pass-through
+  // accept, so this test installs the hooks before starting its own.
+  RecordAcceptsAndSends record;
+  io::ScopedHooks scoped(&record);
+  LineServer server(service_.get());
+  ASSERT_TRUE(server.Start().ok());
+
+  LineClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  const std::string response = client.RoundTrip(R"({"op":"ping"})");
+  auto parsed = ParseJson(response);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->Find("status")->AsString(), "OK");
+
+  const int server_fd = record.last_accepted();
+  ASSERT_GE(server_fd, 0);
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(getsockopt(server_fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len),
+            0);
+  EXPECT_EQ(nodelay, 1);
+
+  // One response, one send, newline included: a trailing 1-byte "\n"
+  // segment is what Nagle would hold back.
+  const std::vector<std::string> sends = record.sends();
+  ASSERT_EQ(sends.size(), 1u);
+  EXPECT_EQ(sends[0], response + "\n");
+  server.Stop();
 }
 
 TEST_F(LineServerTest, StopUnblocksOpenConnections) {

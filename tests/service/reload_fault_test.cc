@@ -29,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "case_temp_path.h"
 #include "kb/knowledge_base.h"
 #include "rdf/rkf2.h"
 #include "util/fnv.h"
@@ -221,8 +222,7 @@ class ReloadFaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
     image_ = FaultKb().SerializeSnapshot();
-    dir_ = ::testing::TempDir();
-    good_path_ = dir_ + "/reload_fault_good.rkf2";
+    good_path_ = CaseTempPath("reload_fault_good", ".rkf2");
     WriteFile(good_path_, image_);
 
     KbSpec spec;
@@ -274,8 +274,12 @@ class ReloadFaultTest : public ::testing::Test {
     }
   }
 
+  void TearDown() override {
+    service_.reset();
+    std::remove(good_path_.c_str());
+  }
+
   std::string image_;
-  std::string dir_;
   std::string good_path_;
   std::unique_ptr<Service> service_;
   std::vector<BaselineResult> baselines_;
@@ -300,7 +304,7 @@ TEST_F(ReloadFaultTest, CorruptionClassesFailClosedUnderLiveTraffic) {
     });
   }
 
-  const std::string mutant_path = dir_ + "/reload_fault_mutant.rkf2";
+  const std::string mutant_path = CaseTempPath("reload_fault_mutant", ".rkf2");
   size_t good_reloads = 0;
   uint64_t expected_generation = 1;
   for (size_t i = 0; i < mutants.size(); ++i) {
@@ -320,8 +324,8 @@ TEST_F(ReloadFaultTest, CorruptionClassesFailClosedUnderLiveTraffic) {
     if (i % 5 == 4) {
       // Interleaved good reload: pristine bytes, so epochs differ only
       // by generation and the miners' byte-identity checks stay exact.
-      const std::string path = dir_ + "/reload_fault_good_" +
-                               std::to_string(good_reloads) + ".rkf2";
+      const std::string path = CaseTempPath(
+          "reload_fault_good_" + std::to_string(good_reloads), ".rkf2");
       WriteFile(path, image_);
       ReloadKbRequest good;
       good.spec.path = path;
@@ -352,8 +356,8 @@ TEST_F(ReloadFaultTest, CorruptionClassesFailClosedUnderLiveTraffic) {
 
   std::remove(mutant_path.c_str());
   for (size_t i = 0; i < good_reloads; ++i) {
-    std::remove((dir_ + "/reload_fault_good_" + std::to_string(i) + ".rkf2")
-                    .c_str());
+    std::remove(
+        CaseTempPath("reload_fault_good_" + std::to_string(i), ".rkf2").c_str());
   }
 }
 
@@ -362,7 +366,7 @@ TEST_F(ReloadFaultTest, GarbageThatLosesTheMagicAlsoFailsClosed) {
   // RKF2 image: format sniffing routes it to the text parsers. With
   // strict parsing the garbage is a ParseError; either way the failure
   // is in-band and the serving generation survives.
-  const std::string path = dir_ + "/reload_fault_garbage.bin";
+  const std::string path = CaseTempPath("reload_fault_garbage", ".bin");
   WriteFile(path, std::string("\x01\x02garbage\xff not a kb\n", 20));
   ReloadKbRequest reload;
   reload.spec.path = path;
@@ -374,7 +378,7 @@ TEST_F(ReloadFaultTest, GarbageThatLosesTheMagicAlsoFailsClosed) {
 
   // Missing file: IoError (or NotFound), same fail-closed shape.
   ReloadKbRequest missing;
-  missing.spec.path = dir_ + "/reload_fault_does_not_exist.rkf2";
+  missing.spec.path = CaseTempPath("reload_fault_does_not_exist", ".rkf2");
   const ReloadKbResponse missing_response = service_->ReloadKb(missing);
   EXPECT_FALSE(missing_response.status.ok());
   EXPECT_EQ(service_->generation(), 1u);
@@ -410,7 +414,7 @@ TEST_F(ReloadFaultTest, RequestPinnedAcrossSwapCompletesByteIdentical) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
-  const std::string path = dir_ + "/reload_fault_pinned_good.rkf2";
+  const std::string path = CaseTempPath("reload_fault_pinned_good", ".rkf2");
   WriteFile(path, image_);
   ReloadKbRequest reload;
   reload.spec.path = path;
@@ -450,7 +454,7 @@ TEST_F(ReloadFaultTest, ReloadToDifferentKbServesNewContent) {
   const TermId p = dict.InternIri("http://other.example/linksTo");
   triples.push_back(Triple{fresh, p, peer});
   triples.push_back(Triple{peer, p, fresh});
-  const std::string path = dir_ + "/reload_fault_other.rkf2";
+  const std::string path = CaseTempPath("reload_fault_other", ".rkf2");
   {
     const KnowledgeBase other =
         KnowledgeBase::Build(std::move(dict), std::move(triples));

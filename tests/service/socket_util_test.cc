@@ -1,5 +1,11 @@
 #include "service/socket_util.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <cerrno>
 #include <string>
 
@@ -108,6 +114,57 @@ TEST(ClassifyAcceptErrorTest, UnknownErrnosNeverKillTheLoop) {
   EXPECT_EQ(ClassifyAcceptError(EIO), AcceptErrorAction::kRetryAfterBackoff);
   EXPECT_EQ(ClassifyAcceptError(12345),
             AcceptErrorAction::kRetryAfterBackoff);
+}
+
+int NoDelayOf(int fd) {
+  int value = -1;
+  socklen_t len = sizeof(value);
+  EXPECT_EQ(getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len), 0);
+  return value;
+}
+
+TEST(SetNoDelayTest, DisablesNagleOnBothEndsOfALoopbackPair) {
+  const int listener = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = 0;
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(bind(listener, reinterpret_cast<const sockaddr*>(&addr),
+                 sizeof(addr)),
+            0);
+  ASSERT_EQ(listen(listener, 1), 0);
+  socklen_t addr_len = sizeof(addr);
+  ASSERT_EQ(getsockname(listener, reinterpret_cast<sockaddr*>(&addr),
+                        &addr_len),
+            0);
+  const int client = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(client, 0);
+  ASSERT_EQ(connect(client, reinterpret_cast<const sockaddr*>(&addr),
+                    sizeof(addr)),
+            0);
+  const int server = accept(listener, nullptr, nullptr);
+  ASSERT_GE(server, 0);
+
+  // A fresh TCP socket has Nagle on.
+  EXPECT_EQ(NoDelayOf(server), 0);
+  EXPECT_EQ(NoDelayOf(client), 0);
+  EXPECT_TRUE(SetNoDelay(server));
+  EXPECT_TRUE(SetNoDelay(client));
+  EXPECT_EQ(NoDelayOf(server), 1);
+  EXPECT_EQ(NoDelayOf(client), 1);
+
+  close(server);
+  close(client);
+  close(listener);
+}
+
+TEST(SetNoDelayTest, ReportsFailureOnANonTcpFd) {
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  EXPECT_FALSE(SetNoDelay(fds[0]));
+  close(fds[0]);
+  close(fds[1]);
 }
 
 }  // namespace

@@ -56,6 +56,7 @@
 #include "rdf/rkf.h"
 #include "service/frame_codec.h"
 #include "service/service.h"
+#include "service/socket_util.h"
 #include "util/flags.h"
 #include "util/json.h"
 #include "util/string_util.h"
@@ -360,7 +361,8 @@ int CmdSummarize(const std::string& path, const remi::Flags& flags) {
   return 0;
 }
 
-/// Blocking TCP connect; the caller owns (and closes) the fd.
+/// Blocking TCP connect with Nagle off; the caller owns (and closes) the
+/// fd.
 Result<int> ConnectTo(const std::string& host, int port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -380,6 +382,7 @@ Result<int> ConnectTo(const std::string& host, int port) {
     close(fd);
     return status;
   }
+  remi::SetNoDelay(fd);  // request/response client: no Nagle hold
   return fd;
 }
 
